@@ -45,7 +45,8 @@ type flowState struct {
 	service string
 	table   *apps.FlowTable
 	// export is the row staging of the snapshot being read out: reading
-	// row 0 captures and frames the table, later rows drain the staging.
+	// row 0 takes the table's current framed export, later rows drain
+	// the staging. Rows alias the table's published words.
 	export [][]uint32
 	// importBuf accumulates written rows until the framed length
 	// (declared by the row-0 header) is reached, then restores.
@@ -92,11 +93,11 @@ func (fs *flowState) assignment(k net.FlowKey) net.IPAddr {
 	return fs.pool().Lookup(k)
 }
 
-// exportRow serves TableRead: row 0 snapshots and frames the table,
+// exportRow serves TableRead: row 0 takes the table's framed export,
 // every row returns its slice of the framed stream.
 func (fs *flowState) exportRow(index uint32) ([]uint32, bool) {
 	if index == 0 {
-		fs.export = cmdif.SplitRows(apps.EncodeFlowSnapshot(fs.table.Snapshot()))
+		fs.export = cmdif.SplitRows(fs.table.ExportWords())
 	}
 	if int(index) >= len(fs.export) {
 		return nil, false
@@ -172,20 +173,27 @@ func (c *Cluster) detachFlowState(n *Node, r *Replica) {
 	delete(n.flows, r.Name())
 }
 
-// readFlowSnapshot pulls a replica's connection table off its device
-// through TableRead transactions: row 0 carries the framed header
-// declaring the stream length, later rows follow until complete.
-func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error) {
+// maxFlowPresize caps how many words readFlowWords reserves on the
+// strength of a row-0 header alone: the framing of a full table, a
+// 2-word header plus 5 words per entry.
+const maxFlowPresize = 2 + 5*flowTableCap
+
+// readFlowWords pulls a replica's framed connection table off its
+// device through TableRead transactions: row 0 carries the framed
+// header declaring the stream length, later rows follow until complete.
+// The returned words are the caller's own and validated against the
+// header.
+func (c *Cluster) readFlowWords(n *Node, r *Replica) ([]uint32, error) {
 	tid := flowTableID(r)
-	words, err := n.Inst.ReadTable(device.RBBRole, 0, tid, 0)
+	first, err := n.Inst.ReadTable(device.RBBRole, 0, tid, 0)
 	if err != nil {
 		return nil, err
 	}
-	words = append([]uint32(nil), words...)
-	total, err := apps.FlowSnapshotWords(words)
+	total, err := apps.FlowSnapshotWords(first)
 	if err != nil {
 		return nil, err
 	}
+	words := append(make([]uint32, 0, min(total, maxFlowPresize)), first...)
 	for row := uint32(1); len(words) < total; row++ {
 		next, err := n.Inst.ReadTable(device.RBBRole, 0, tid, row)
 		if err != nil {
@@ -198,6 +206,16 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error
 	}
 	if len(words) > total {
 		return nil, fmt.Errorf("fleet: flow snapshot overran framed length %d", total)
+	}
+	return words, nil
+}
+
+// readFlowSnapshot reads a replica's connection table (readFlowWords)
+// and decodes it.
+func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error) {
+	words, err := c.readFlowWords(n, r)
+	if err != nil {
+		return nil, err
 	}
 	return apps.DecodeFlowSnapshot(words)
 }
@@ -214,10 +232,12 @@ func (c *Cluster) writeFlowSnapshot(n *Node, r *Replica, entries []apps.ConnEntr
 	return nil
 }
 
-// flowSnap is one periodic connection-table capture.
+// flowSnap is one periodic connection-table capture, kept as the
+// validated framed words it was read as; only a dead-node fallback
+// decodes it.
 type flowSnap struct {
-	at      sim.Time
-	entries []apps.ConnEntry
+	at    sim.Time
+	words []uint32
 }
 
 // snapshotNode refreshes the periodic captures of every stateful
@@ -230,16 +250,16 @@ func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
 		if r.flows == nil {
 			continue
 		}
-		entries, err := c.readFlowSnapshot(n, r)
+		words, err := c.readFlowWords(n, r)
 		if err != nil {
 			continue
 		}
-		c.snapshots[r.Name()] = flowSnap{at: now, entries: entries}
+		c.snapshots[r.Name()] = flowSnap{at: now, words: words}
 		r.flows.sincePins = 0
 		if c.ctrl != nil {
 			e := obs.Instant(obs.CatMigration, "snapshot", now)
 			e.K1, e.V1 = "replica", r.Name()
-			e.K2, e.V2 = "entries", int64(len(entries))
+			e.K2, e.V2 = "entries", int64(apps.FlowSnapshotEntries(words))
 			c.ctrl.Add(e)
 		}
 	}
@@ -302,7 +322,12 @@ func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (entries []a
 		}
 	}
 	if snap, ok := c.snapshots[r.Name()]; ok {
-		return snap.entries, false, snap.at
+		// The capture was validated when read, so it decodes.
+		entries, err := apps.DecodeFlowSnapshot(snap.words)
+		if err != nil {
+			return nil, false, 0
+		}
+		return entries, false, snap.at
 	}
 	return nil, false, 0
 }

@@ -303,7 +303,7 @@ func TestDrainRacingSourceDeath(t *testing.T) {
 		t.Fatalf("only %d flows pinned, need a multi-row export", pinned)
 	}
 	snap, ok := c.snapshots[r.Name()]
-	if !ok || len(snap.entries) == 0 {
+	if !ok || apps.FlowSnapshotEntries(snap.words) == 0 {
 		t.Fatal("no periodic snapshot captured before the drain")
 	}
 
@@ -344,8 +344,8 @@ func TestDrainRacingSourceDeath(t *testing.T) {
 	if mr.Live {
 		t.Error("migration claims a live read despite the source dying mid-export")
 	}
-	if mr.Flows != len(snap.entries) {
-		t.Errorf("carried %d flows, want the %d from the periodic snapshot", mr.Flows, len(snap.entries))
+	if want := apps.FlowSnapshotEntries(snap.words); mr.Flows != want {
+		t.Errorf("carried %d flows, want the %d from the periodic snapshot", mr.Flows, want)
 	}
 	if mr.Restored == 0 {
 		t.Error("snapshot fallback restored nothing")
