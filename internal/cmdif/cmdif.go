@@ -113,14 +113,25 @@ func checksum32(words []uint32) uint32 {
 	return ^uint32(sum)
 }
 
+// Validate reports whether the packet fits its wire fields: a payload
+// of at most MaxPayloadWords words and a 4-bit version. Marshal fails
+// with the same errors, so a sender that only needs WireBytes can
+// check the packet without serializing it.
+func (p *Packet) Validate() error {
+	if len(p.Data) > MaxPayloadWords {
+		return ErrTooLarge
+	}
+	if p.Version > 0xf {
+		return fmt.Errorf("cmdif: version %d exceeds 4 bits", p.Version)
+	}
+	return nil
+}
+
 // words serializes the packet's header+payload into 32-bit words
 // (checksum excluded).
 func (p *Packet) words() ([]uint32, error) {
-	if len(p.Data) > MaxPayloadWords {
-		return nil, ErrTooLarge
-	}
-	if p.Version > 0xf {
-		return nil, fmt.Errorf("cmdif: version %d exceeds 4 bits", p.Version)
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	w := make([]uint32, 0, headerWords+len(p.Data))
 	w0 := uint32(p.Version&0xf)<<28 |

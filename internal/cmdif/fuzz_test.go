@@ -2,6 +2,8 @@ package cmdif
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -25,6 +27,35 @@ func FuzzUnmarshal(f *testing.F) {
 		consumed := raw[:len(raw)-len(rest)]
 		if !bytes.Equal(out, consumed) {
 			t.Fatalf("re-marshal mismatch:\nconsumed %x\nremarshal %x", consumed, out)
+		}
+	})
+}
+
+// FuzzSplitJoinRows checks the table-row framing on arbitrary word
+// streams: joining the split rows gives the stream back, every row fits
+// one command, and the row count is RowsFor of the stream length.
+func FuzzSplitJoinRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4})
+	f.Add(make([]byte, 4*MaxTableRowWords))
+	f.Add(make([]byte, 4*(MaxTableRowWords+1)))
+	f.Add(make([]byte, 4*(3*MaxTableRowWords-1)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		words := make([]uint32, len(raw)/4)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		rows := SplitRows(words)
+		if len(rows) != RowsFor(len(words)) {
+			t.Fatalf("%d words split into %d rows, RowsFor says %d", len(words), len(rows), RowsFor(len(words)))
+		}
+		for i, r := range rows {
+			if len(r) == 0 || len(r) > MaxTableRowWords {
+				t.Fatalf("row %d has %d words, want 1..%d", i, len(r), MaxTableRowWords)
+			}
+		}
+		if got := JoinRows(rows); !slices.Equal(got, words) {
+			t.Fatalf("JoinRows(SplitRows(w)) = %d words, want the %d-word input", len(got), len(words))
 		}
 	})
 }

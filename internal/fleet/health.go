@@ -323,12 +323,12 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 		if r.ReadyAt > rep.RecoveredAt {
 			rep.RecoveredAt = r.ReadyAt
 		}
-		if len(flows) > 0 && r.flows != nil {
-			if err := c.writeFlowSnapshot(target, r, flows); err == nil {
+		if carried := flowCount(flows); carried > 0 && r.flows != nil {
+			if err := c.writeFlowWords(target, flowTableID(r), flows, false); err == nil {
 				mr := MigrationRecord{
 					Replica: r.Name(), From: n.ID, To: target.ID, At: r.ReadyAt,
-					Live:     live,
-					Flows:    len(flows), Restored: r.flows.restored, Dropped: r.flows.dropped,
+					Live:  live,
+					Flows: carried, Restored: r.flows.restored, Dropped: r.flows.dropped,
 					CutoverAt: r.ReadyAt,
 				}
 				if !live {
@@ -339,7 +339,7 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 				if c.ctrl != nil {
 					e := obs.Span(obs.CatMigration, "replay", now, r.ReadyAt)
 					e.K1, e.V1 = "replica", r.Name()
-					e.K2, e.V2 = "flows", int64(len(flows))
+					e.K2, e.V2 = "flows", int64(carried)
 					e.K3, e.V3 = "restored", int64(r.flows.restored)
 					c.ctrl.Add(e)
 				}

@@ -181,19 +181,23 @@ const maxFlowPresize = 2 + 5*flowTableCap
 // readFlowWords pulls a replica's framed connection table off its
 // device through TableRead transactions: row 0 carries the framed
 // header declaring the stream length, later rows follow until complete.
-// The returned words are the caller's own and validated against the
-// header.
+// The returned words are validated against the header, and they are
+// shared and read-only: each row is a window of the table's published
+// export, so when a row starts exactly where the words so far end, in
+// the same backing array, the join extends the slice — an unchanged
+// export comes back as itself, with no copy. Rows that are not
+// adjacent fall back to a copy presized from the header.
 func (c *Cluster) readFlowWords(n *Node, r *Replica) ([]uint32, error) {
 	tid := flowTableID(r)
-	first, err := n.Inst.ReadTable(device.RBBRole, 0, tid, 0)
+	words, err := n.Inst.ReadTable(device.RBBRole, 0, tid, 0)
 	if err != nil {
 		return nil, err
 	}
-	total, err := apps.FlowSnapshotWords(first)
+	total, err := apps.FlowSnapshotWords(words)
 	if err != nil {
 		return nil, err
 	}
-	words := append(make([]uint32, 0, min(total, maxFlowPresize)), first...)
+	owned := false
 	for row := uint32(1); len(words) < total; row++ {
 		next, err := n.Inst.ReadTable(device.RBBRole, 0, tid, row)
 		if err != nil {
@@ -202,29 +206,43 @@ func (c *Cluster) readFlowWords(n *Node, r *Replica) ([]uint32, error) {
 		if len(next) == 0 {
 			return nil, fmt.Errorf("fleet: flow snapshot truncated at row %d", row)
 		}
-		words = append(words, next...)
+		words, owned = joinRow(words, next, total, owned)
 	}
 	if len(words) > total {
 		return nil, fmt.Errorf("fleet: flow snapshot overran framed length %d", total)
 	}
-	return words, nil
+	// Clip the capacity: an append by a holder must never reach into
+	// the export's backing array.
+	return words[:len(words):len(words)], nil
 }
 
-// readFlowSnapshot reads a replica's connection table (readFlowWords)
-// and decodes it.
-func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error) {
-	words, err := c.readFlowWords(n, r)
-	if err != nil {
-		return nil, err
+// joinRow appends row to words and reports whether the result is an
+// array of the caller's own. A row adjacent to words in the same
+// backing array extends the slice; otherwise words that are not yet
+// owned move to a fresh array presized for the framed total (capped by
+// maxFlowPresize, since the header is untrusted) before the append, so
+// a shared array is never written.
+func joinRow(words, row []uint32, total int, owned bool) ([]uint32, bool) {
+	if cap(words)-len(words) >= len(row) && &words[:len(words)+1][len(words)] == &row[0] {
+		return words[:len(words)+len(row)], owned
 	}
-	return apps.DecodeFlowSnapshot(words)
+	if !owned {
+		words = append(make([]uint32, 0, max(min(total, maxFlowPresize), len(words)+len(row))), words...)
+	}
+	return append(words, row...), true
 }
 
-// writeFlowSnapshot replays a connection table into a replica through
-// TableWrite transactions against its new node's role module.
-func (c *Cluster) writeFlowSnapshot(n *Node, r *Replica, entries []apps.ConnEntry) error {
-	tid := flowTableID(r)
-	for i, row := range cmdif.SplitRows(apps.EncodeFlowSnapshot(entries)) {
+// writeFlowWords replays framed connection-table words into table tid
+// on a node's role module, one TableWrite per row. With corrupt set the
+// frame header word is tampered (on a copy: words may be a shared
+// capture), which the import rejects — the delta-corruption chaos
+// injection.
+func (c *Cluster) writeFlowWords(n *Node, tid uint32, words []uint32, corrupt bool) error {
+	if corrupt && len(words) > 0 {
+		words = append([]uint32(nil), words...)
+		words[0] ^= 0xDEADBEEF
+	}
+	for i, row := range cmdif.SplitRows(words) {
 		if err := n.Inst.WriteTable(device.RBBRole, 0, tid, uint32(i), row...); err != nil {
 			return err
 		}
@@ -232,9 +250,18 @@ func (c *Cluster) writeFlowSnapshot(n *Node, r *Replica, entries []apps.ConnEntr
 	return nil
 }
 
+// flowCount is the entry count of a validated capture; no capture
+// (nil) counts zero.
+func flowCount(words []uint32) int {
+	if words == nil {
+		return 0
+	}
+	return apps.FlowSnapshotEntries(words)
+}
+
 // flowSnap is one periodic connection-table capture, kept as the
-// validated framed words it was read as; only a dead-node fallback
-// decodes it.
+// validated, shared framed words it was read as; a dead-node fallback
+// replays them unchanged.
 type flowSnap struct {
 	at    sim.Time
 	words []uint32
@@ -309,25 +336,21 @@ func (c *Cluster) Migrations() []MigrationRecord {
 	return append([]MigrationRecord(nil), c.migrations...)
 }
 
-// flowsForMigration obtains the connection table to carry for one
-// evacuating replica: the live table when the node still answers
-// commands, else the last periodic capture.
-func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (entries []apps.ConnEntry, gotLive bool, at sim.Time) {
+// flowsForMigration obtains the framed connection table to carry for
+// one evacuating replica: the live table when the node still answers
+// commands, else the last periodic capture. Both were validated when
+// read, and both are shared read-only words.
+func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (words []uint32, gotLive bool, at sim.Time) {
 	if !c.cfg.MigrateFlows || r.flows == nil {
 		return nil, false, 0
 	}
 	if live {
-		if e, err := c.readFlowSnapshot(n, r); err == nil {
-			return e, true, 0
+		if w, err := c.readFlowWords(n, r); err == nil {
+			return w, true, 0
 		}
 	}
 	if snap, ok := c.snapshots[r.Name()]; ok {
-		// The capture was validated when read, so it decodes.
-		entries, err := apps.DecodeFlowSnapshot(snap.words)
-		if err != nil {
-			return nil, false, 0
-		}
-		return entries, false, snap.at
+		return snap.words, false, snap.at
 	}
 	return nil, false, 0
 }

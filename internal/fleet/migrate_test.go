@@ -10,7 +10,7 @@ import (
 
 // buildStateful builds an n-device fleet hosting n replicas of a
 // stateful layer4-lb service with the drill's 8-backend pool.
-func buildStateful(t *testing.T, cfg Config, n int) *Cluster {
+func buildStateful(t testing.TB, cfg Config, n int) *Cluster {
 	t.Helper()
 	info, err := apps.Lookup(testApp)
 	if err != nil {
@@ -93,7 +93,11 @@ func TestFlowSnapshotTravelsCommandPath(t *testing.T) {
 		t.Errorf("target table holds %d flows, want %d", got, pinned)
 	}
 	// And it is readable back over the target's command path.
-	entries, err := c.readFlowSnapshot(tgt, r)
+	words, err := c.readFlowWords(tgt, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := apps.DecodeFlowSnapshot(words)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"harmonia/internal/apps"
-	"harmonia/internal/cmdif"
 	"harmonia/internal/device"
 	"harmonia/internal/faults"
 	"harmonia/internal/net"
@@ -108,10 +107,9 @@ type rebalanceMove struct {
 	shadow   *tenancy.Tenant
 	dstFlows *flowState
 
-	preCopy            []apps.ConnEntry
-	preCopyAt, deltaAt sim.Time
-	deltaRows          int
-	restored, dropped  int
+	preCopyAt, deltaAt     sim.Time
+	preCopyRows, deltaRows int
+	restored, dropped      int
 }
 
 // rebalancer is the cluster's barrier-stepped rebalance state.
@@ -429,7 +427,7 @@ func (c *Cluster) stepPreCopy(now sim.Time, mv *rebalanceMove) {
 			c.failMoveAttempt(now, mv, "table read stalled past deadline")
 			return
 		}
-		entries, err := c.readFlowSnapshot(mv.src, r)
+		words, err := c.readFlowWords(mv.src, r)
 		if err != nil {
 			c.failMoveAttempt(now, mv, "pre-copy read failed")
 			return
@@ -438,9 +436,9 @@ func (c *Cluster) stepPreCopy(now sim.Time, mv *rebalanceMove) {
 		// barrier steps): rows mutated after this capture are the delta.
 		r.flows.dirty = r.flows.dirty[:0]
 		r.flows.dirtyArmed = true
-		mv.preCopy = entries
-		if len(entries) > 0 {
-			if err := c.writeFlowRows(mv.dst, mv.shadowTableID(), entries, false); err != nil {
+		mv.preCopyRows = flowCount(words)
+		if mv.preCopyRows > 0 {
+			if err := c.writeFlowWords(mv.dst, mv.shadowTableID(), words, false); err != nil {
 				r.flows.dirtyArmed = false
 				c.failMoveAttempt(now, mv, "pre-copy stream failed")
 				return
@@ -470,7 +468,7 @@ func (c *Cluster) stepDelta(now sim.Time, mv *rebalanceMove) {
 		corrupt := c.consumeMigrationFault(faults.RebalanceCorruptDelta, mv)
 		delta := r.flows.dirty
 		if len(delta) > 0 || corrupt {
-			if err := c.writeFlowRows(mv.dst, mv.shadowTableID(), delta, corrupt); err != nil {
+			if err := c.writeFlowWords(mv.dst, mv.shadowTableID(), apps.EncodeFlowSnapshot(delta), corrupt); err != nil {
 				// The dirty log keeps accumulating; the retry replays the
 				// grown delta from row 0 (imports are idempotent merges).
 				c.failMoveAttempt(now, mv, "delta frame rejected")
@@ -515,9 +513,9 @@ func (c *Cluster) cutoverMove(now sim.Time, mv *rebalanceMove) {
 	c.rebalance.movesDone++
 	c.migrations = append(c.migrations, MigrationRecord{
 		Replica: r.Name(), From: src.ID, To: dst.ID, At: now, Live: true,
-		Flows: len(mv.preCopy) + mv.deltaRows, Restored: mv.restored, Dropped: mv.dropped,
+		Flows: mv.preCopyRows + mv.deltaRows, Restored: mv.restored, Dropped: mv.dropped,
 		PlannedAt: mv.reqAt, PreCopyAt: mv.preCopyAt, DeltaAt: mv.deltaAt, CutoverAt: now,
-		PreCopyRows: len(mv.preCopy), DeltaRows: mv.deltaRows, Retries: mv.retries,
+		PreCopyRows: mv.preCopyRows, DeltaRows: mv.deltaRows, Retries: mv.retries,
 	})
 	c.traceMoveDone(now, mv)
 }
@@ -552,7 +550,7 @@ func (c *Cluster) abortMove(now sim.Time, mv *rebalanceMove, reason string) {
 	c.migrations = append(c.migrations, MigrationRecord{
 		Replica: r.Name(), From: mv.src.ID, To: to, At: now, Live: true,
 		PlannedAt: mv.reqAt, PreCopyAt: mv.preCopyAt,
-		PreCopyRows: len(mv.preCopy), Retries: mv.retries, Aborted: true,
+		PreCopyRows: mv.preCopyRows, Retries: mv.retries, Aborted: true,
 	})
 	if c.ctrl == nil {
 		return
@@ -575,12 +573,12 @@ func (c *Cluster) traceMoveDone(now sim.Time, mv *rebalanceMove) {
 	}
 	span := obs.Span(obs.CatRebalance, "move", mv.reqAt, now)
 	span.K1, span.V1 = "replica", mv.r.Name()
-	span.K2, span.V2 = "rows", int64(len(mv.preCopy)+mv.deltaRows)
+	span.K2, span.V2 = "rows", int64(mv.preCopyRows+mv.deltaRows)
 	span.K3, span.V3 = "retries", int64(mv.retries)
 	c.ctrl.Add(span)
 	pre := obs.Span(obs.CatRebalance, "pre-copy", mv.preCopyAt, mv.deltaAt)
 	pre.K1, pre.V1 = "replica", mv.r.Name()
-	pre.K2, pre.V2 = "rows", int64(len(mv.preCopy))
+	pre.K2, pre.V2 = "rows", int64(mv.preCopyRows)
 	c.ctrl.Add(pre)
 	d := obs.Instant(obs.CatRebalance, "delta-replay", mv.deltaAt)
 	d.K1, d.V1 = "replica", mv.r.Name()
@@ -595,24 +593,6 @@ func (c *Cluster) traceMoveDone(now sim.Time, mv *rebalanceMove) {
 // module.
 func (mv *rebalanceMove) shadowTableID() uint32 {
 	return FlowTableBase | uint32(mv.shadow.ID)
-}
-
-// writeFlowRows streams a framed connection-table snapshot into an
-// arbitrary table ID on a node's role module. With corrupt set the
-// frame header word is tampered, which the import rejects — the
-// delta-corruption chaos injection.
-func (c *Cluster) writeFlowRows(n *Node, tid uint32, entries []apps.ConnEntry, corrupt bool) error {
-	words := apps.EncodeFlowSnapshot(entries)
-	if corrupt && len(words) > 0 {
-		words = append([]uint32(nil), words...)
-		words[0] ^= 0xDEADBEEF
-	}
-	for i, row := range cmdif.SplitRows(words) {
-		if err := n.Inst.WriteTable(device.RBBRole, 0, tid, uint32(i), row...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // finishRebuild rebuilds a fully drained victim's queue allocator,

@@ -111,22 +111,17 @@ func (sh *routerShard) hotCost(slot int32, now sim.Time) sim.Time {
 }
 
 // flowEntry is one flow route cache line: the flow's two-choice
-// candidate pair and each candidate's pre-resolved host queue, valid
-// for one dispatch epoch. The RNG pair is drawn once per flow per
-// epoch — the amortized-draw half of batch-quantum dispatch — while
-// the per-packet cost comparison between the two candidates stays
-// live, so queue-depth balancing is preserved but the flow hash,
-// director and tenancy lookups are not repeated per packet.
+// candidate pair, valid for one dispatch epoch. The RNG pair is drawn
+// once per flow per epoch — the amortized-draw half of batch-quantum
+// dispatch — while the per-packet cost comparison between the two
+// candidates stays live, so queue-depth balancing is preserved but the
+// draw is not repeated per packet.
 type flowEntry struct {
 	hash  uint64
 	epoch uint64
 	// a, b index the dispatch view's parallel arrays; b is -1 for a
-	// single-candidate shard. qa, qb are the candidates' host queues
-	// from the VIP-rewritten flow hash; -1 marks steering the tenancy
-	// layer could not resolve (that candidate drops, as the per-packet
-	// Route would).
-	a, b   int32
-	qa, qb int32
+	// single-candidate shard.
+	a, b int32
 }
 
 // shardDisp is one (service, shard) dispatch view: the shard's ready
@@ -382,26 +377,23 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 // flowQueue computes the host queue candidate i's flow director would
 // select for this packet: the tenant queue range offset by the
 // VIP-rewritten flow hash — the hash Direct sees, since dispatch
-// rewrites DstIP to the chosen VIP before the device crossing. -1
-// marks unresolvable steering.
+// rewrites DstIP to the chosen VIP before the device crossing. Only
+// Route reports the queue, so only Route pays for the hash; i's
+// steering must have resolved (qspan > 0).
 func (d *shardDisp) flowQueue(i int32, p *net.Packet) int32 {
-	span := d.qspan[i]
-	if span <= 0 {
-		return -1
-	}
 	k := p.Flow()
 	k.DstIP = d.vip[i]
-	return d.qlo[i] + int32(k.Hash()%uint64(span))
+	return d.qlo[i] + int32(k.Hash()%uint64(d.qspan[i]))
 }
 
 // flowSlot returns the flow's cache entry, filling it on a miss: the
 // candidate pair is drawn with the shard RNG exactly as per-packet
 // two-choice did (two Intn draws, distinct indices), ordered so cost
-// ties resolve to the lexicographically smaller node ID, and each
-// candidate's host queue is resolved once. RNG is consumed only here —
-// per-shard flow subsequences are fixed by the flow hash, so cache
-// miss order, and with it the RNG stream, is worker-count invariant.
-func (sh *routerShard) flowSlot(d *shardDisp, h uint64, p *net.Packet) *flowEntry {
+// ties resolve to the lexicographically smaller node ID. RNG is
+// consumed only here — per-shard flow subsequences are fixed by the
+// flow hash, so cache miss order, and with it the RNG stream, is
+// worker-count invariant.
+func (sh *routerShard) flowSlot(d *shardDisp, h uint64) *flowEntry {
 	e := &d.cache[h&(flowCacheSize-1)]
 	if e.hash == h && e.epoch == d.epoch {
 		return e
@@ -420,20 +412,16 @@ func (sh *routerShard) flowSlot(d *shardDisp, h uint64, p *net.Packet) *flowEntr
 		}
 		e.a, e.b = a, b
 	}
-	e.qa = d.flowQueue(e.a, p)
-	e.qb = -1
-	if e.b >= 0 {
-		e.qb = d.flowQueue(e.b, p)
-	}
 	return e
 }
 
 // routeResult is one batched dispatch outcome. node is nil when the
-// shard had no candidates at all.
+// shard had no candidates at all; cand is the picked candidate's index
+// in the dispatch view.
 type routeResult struct {
 	rep     *Replica
 	node    *Node
-	queue   int32
+	cand    int32
 	done    sim.Time
 	served  bool
 	healthy bool
@@ -449,21 +437,23 @@ func (c *Cluster) routeCached(sh *routerShard, d *shardDisp, h uint64, now sim.T
 	if len(d.reps) == 0 {
 		return routeResult{}
 	}
-	e := sh.flowSlot(d, h, p)
-	ai, q := e.a, e.qa
+	e := sh.flowSlot(d, h)
+	ai := e.a
 	if e.b >= 0 && sh.hotCost(d.slot[e.b], now) < sh.hotCost(d.slot[e.a], now) {
-		ai, q = e.b, e.qb
+		ai = e.b
 	}
 	hot := &sh.hot[d.slot[ai]]
 	n := hot.n
 	rep := d.reps[ai]
-	if q < 0 {
-		return routeResult{rep: rep, node: n}
+	if d.qspan[ai] <= 0 {
+		// Unresolved steering: the candidate drops, as the per-packet
+		// Route would.
+		return routeResult{rep: rep, node: n, cand: ai}
 	}
 	p.DstIP = d.vip[ai]
 	done, ok := n.Net.IngressDirected(now, p)
 	if !ok {
-		return routeResult{rep: rep, node: n, queue: q, done: done}
+		return routeResult{rep: rep, node: n, cand: ai, done: done}
 	}
 	if done > hot.busy {
 		hot.busy = done
@@ -481,7 +471,7 @@ func (c *Cluster) routeCached(sh *routerShard, d *shardDisp, h uint64, now sim.T
 	} else {
 		n.classServed[0]++
 	}
-	return routeResult{rep: rep, node: n, queue: q, done: done, served: true, healthy: hot.healthy}
+	return routeResult{rep: rep, node: n, cand: ai, done: done, served: true, healthy: hot.healthy}
 }
 
 // dispatchShard maps a flow hash onto the shard that will route it,
@@ -574,7 +564,7 @@ func (c *Cluster) Route(now sim.Time, svc string, p *net.Packet) (Dispatch, erro
 			return Dispatch{Replica: res.rep, Node: res.node.ID, Dropped: true},
 				fmt.Errorf("fleet: steering unresolved for %s on %s", svc, res.node.ID)
 		}
-		return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(res.queue), Dropped: true}, nil
+		return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(d.flowQueue(res.cand, p)), Dropped: true}, nil
 	}
 	sh.served++
 	st.served++
@@ -589,7 +579,7 @@ func (c *Cluster) Route(now sim.Time, svc string, p *net.Packet) (Dispatch, erro
 	if sh.trace != nil {
 		sh.tracePacket(now, res.done, res.node.ID, int64(p.WireBytes))
 	}
-	return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(res.queue), Done: res.done}, nil
+	return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(d.flowQueue(res.cand, p)), Done: res.done}, nil
 }
 
 // routeBaseline is the pre-shard serial path: per-packet candidate

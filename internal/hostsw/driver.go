@@ -60,7 +60,9 @@ func (d *CmdDriver) Drops() int64 { return d.drops }
 // arrival time back at the host. The command really crosses the wire in
 // marshalled form: the kernel executes what it parses, and checksum
 // failures are NAKed and retransmitted (the CheckSum error handling of
-// Fig. 9).
+// Fig. 9). The response's Data is what the handler returned, which may
+// be module-owned state such as a table source's published rows:
+// callers read it and must not write it.
 func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, error) {
 	buf, err := p.Marshal()
 	if err != nil {
@@ -104,12 +106,13 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 		if err != nil {
 			return nil, execDone, err
 		}
-		// Response upload through the same engine.
-		respBuf, err := resp.Marshal()
-		if err != nil {
+		// Response upload through the same engine, charged at its wire
+		// size. Responses never cross the fault injector and nothing
+		// parses them, so the bytes themselves are never built.
+		if err := resp.Validate(); err != nil {
 			return nil, execDone, err
 		}
-		done := d.engine.Link().Transfer(execDone, len(respBuf))
+		done := d.engine.Link().Transfer(execDone, resp.WireBytes())
 		d.issued++
 		if d.trace != nil && attempt > 0 {
 			e := obs.Span(obs.CatCmd, "cmd-retry", now, done)

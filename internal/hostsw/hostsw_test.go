@@ -1,6 +1,7 @@
 package hostsw
 
 import (
+	"errors"
 	"testing"
 
 	"harmonia/internal/cmdif"
@@ -353,5 +354,75 @@ func TestCmdDriverCountsDrops(t *testing.T) {
 	}
 	if d.Drops() != 1 {
 		t.Errorf("Drops = %d after recovered retry, want still 1", d.Drops())
+	}
+}
+
+// rowSource binds table 7 on m to a source serving one row of n words.
+func rowSource(m *uck.Module, n int) {
+	row := make([]uint32, n)
+	for i := range row {
+		row[i] = uint32(i)
+	}
+	m.SetTableSource(7, func(uint32) ([]uint32, bool) { return row, true })
+}
+
+func TestCmdDriverChargesResponseWireBytes(t *testing.T) {
+	// A full TableRead row completes exactly when uploading the
+	// marshalled response would: the driver sizes the response instead
+	// of building its bytes.
+	d, m := newCmdDriver(t)
+	rowSource(m, cmdif.MaxTableRowWords)
+	data, done, err := d.CmdRead(0, cmdif.New(1, 0, cmdif.TableRead, 7, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != cmdif.MaxTableRowWords {
+		t.Fatalf("read %d words, want %d", len(data), cmdif.MaxTableRowWords)
+	}
+
+	// The same command stepped by hand on a fresh driver, with the
+	// response charged at its marshalled length.
+	ref, rm := newCmdDriver(t)
+	rowSource(rm, cmdif.MaxTableRowWords)
+	req, err := cmdif.New(1, 0, cmdif.TableRead, 7, 0).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.engine.PostControl(0, len(req)); err != nil {
+		t.Fatal(err)
+	}
+	arrive, ok := ref.engine.Step(0)
+	if !ok {
+		t.Fatal("control transfer not dispatched")
+	}
+	parsed, _, err := cmdif.Unmarshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, execDone, err := ref.kernel.Execute(arrive, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respBuf, err := resp.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(respBuf) != resp.WireBytes() {
+		t.Fatalf("marshalled %d bytes, WireBytes says %d", len(respBuf), resp.WireBytes())
+	}
+	if want := ref.engine.Link().Transfer(execDone, len(respBuf)); done != want {
+		t.Errorf("full-row read done at %v, want %v", done, want)
+	}
+}
+
+func TestCmdDriverRejectsOversizedResponse(t *testing.T) {
+	d, m := newCmdDriver(t)
+	rowSource(m, cmdif.MaxPayloadWords+1)
+	_, _, err := d.CmdRead(0, cmdif.New(1, 0, cmdif.TableRead, 7, 0))
+	if !errors.Is(err, cmdif.ErrTooLarge) {
+		t.Fatalf("256-word response: err = %v, want ErrTooLarge", err)
+	}
+	if d.Issued() != 0 {
+		t.Errorf("Issued = %d, want the failed command uncounted", d.Issued())
 	}
 }
